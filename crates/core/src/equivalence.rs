@@ -11,7 +11,7 @@ use modemerge_sta::relations::{EndpointRelation, RelationSet};
 
 /// Result of an equivalence check between a merged mode and a set of
 /// individual modes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EquivalenceReport {
     /// `true` when the timed relationship sets match in both directions.
     pub equivalent: bool,

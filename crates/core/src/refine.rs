@@ -15,9 +15,12 @@
 //!    remaining extra path class (Constraint Set 6).
 //!
 //! After every batch of added constraints the merged mode is re-bound and
-//! re-analyzed; the loop ends when a full round adds nothing.
+//! re-analyzed; the loop ends when a full round adds nothing. That last
+//! round's merged analysis is exactly the analysis of the refined SDC, so
+//! the §2 validation (when `options.validate`) runs on it.
 
 use crate::emit::{clocks_ref, pins_refs};
+use crate::equivalence::{check_equivalence, EquivalenceReport};
 use crate::error::{MergeConflict, MergeError};
 use crate::merge::MergeOptions;
 use crate::provenance::{Contrib, DiagnosticSink, ProvenanceStore, RuleCode};
@@ -28,10 +31,11 @@ use modemerge_sdc::{
 };
 use modemerge_sta::analysis::Analysis;
 use modemerge_sta::graph::TimingGraph;
-use modemerge_sta::keys::ClockKey;
+use modemerge_sta::keys::ClockKeyId;
 use modemerge_sta::memo::MemoBudget;
-use modemerge_sta::mode::Mode;
+use modemerge_sta::mode::{ClockId, Mode};
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
 
 /// Statistics and output of the refinement loop.
 #[derive(Debug, Clone)]
@@ -64,8 +68,15 @@ pub struct RefineOutcome {
     /// Memoized-propagation hits in the 3-pass (all iterations).
     pub propagation_cache_hits: u64,
     /// Bounded-memo evictions in the per-iteration merged analyses
-    /// (harvested before each one is dropped).
+    /// (harvested once, before each one is dropped).
     pub memo_evictions: u64,
+    /// §2 equivalence of the refined SDC against the individual modes,
+    /// checked on the fixed point's own merged analysis; `None` unless
+    /// `options.validate`.
+    pub equivalence: Option<EquivalenceReport>,
+    /// Wall time of that check — part of the `refine` call, reported
+    /// separately so callers can charge it to validation.
+    pub validate_ns: u64,
 }
 
 /// One candidate fix plus its derivation, kept together so the
@@ -78,78 +89,148 @@ struct Derived {
     detail: String,
 }
 
-/// Per-node clock-key sets for one analysis, in clock-network or
-/// data-network view.
-fn clock_network_keys(a: &Analysis<'_>) -> BTreeMap<PinId, BTreeSet<ClockKey>> {
-    let mut out: BTreeMap<PinId, BTreeSet<ClockKey>> = BTreeMap::new();
-    for node in a.clock_arrivals().reached_nodes() {
-        let keys = out.entry(node).or_default();
-        for c in a.clock_arrivals().clock_ids_at(node) {
-            keys.insert(a.mode().clock_key(c));
-        }
-    }
-    out
+/// Per-node sets of interned clock ids ([`ClockKeyId`]) as node-major
+/// `u64` bitsets: node `n`'s set is `bits[n * words..(n + 1) * words]`.
+///
+/// Built once per analysis (or as the union over several analyses that
+/// share one timing graph, hence one interner), so frontier tests across
+/// views are word-wide `merged & !union` masks, never key compares.
+#[derive(Debug)]
+pub struct ClockView {
+    words: usize,
+    bits: Vec<u64>,
 }
 
-/// Launch clocks *crossing* each node (arriving and continuing through
-/// at least one active arc). The crossing view — not mere presence — is
-/// what the paper's Constraint Set 5 cut (`-through [rB/Q and1/Z]`)
-/// compares: a clock may arrive at a pin in some mode yet never pass it
-/// (a desensitized mux input), and it is the passing that creates paths.
-fn data_network_keys(a: &Analysis<'_>) -> BTreeMap<PinId, BTreeSet<ClockKey>> {
-    let mut out: BTreeMap<PinId, BTreeSet<ClockKey>> = BTreeMap::new();
-    for node in a.propagation().reached_nodes() {
-        if !a.has_active_fanout(node) {
-            continue;
-        }
-        let keys = out.entry(node).or_default();
-        for c in a.propagation().data_clocks_at(node) {
-            keys.insert(a.mode().clock_key(c));
+impl ClockView {
+    /// An empty view over the analyses' graph, wide enough for every
+    /// clock any of them defines.
+    fn empty(analyses: &[&Analysis<'_>]) -> Self {
+        let nodes = analyses.first().map_or(0, |a| a.graph().node_count());
+        let width = analyses
+            .iter()
+            .flat_map(|a| a.mode().clock_ids().map(|c| a.clock_key_id(c).index() + 1))
+            .max()
+            .unwrap_or(0);
+        let words = width.div_ceil(64);
+        Self {
+            words,
+            bits: vec![0; nodes * words],
         }
     }
-    out
+
+    fn insert(&mut self, node: PinId, id: ClockKeyId) {
+        self.bits[node.index() * self.words + id.index() / 64] |= 1u64 << (id.index() % 64);
+    }
+
+    /// Word `w` of `node`'s set (zero past this view's width).
+    fn word(&self, node: PinId, w: usize) -> u64 {
+        if w < self.words {
+            self.bits[node.index() * self.words + w]
+        } else {
+            0
+        }
+    }
+
+    /// The clock ids in `node`'s set, ascending.
+    pub fn clock_ids_at(&self, node: PinId) -> Vec<ClockKeyId> {
+        let start = node.index() * self.words;
+        ids_in(&self.bits[start..start + self.words]).collect()
+    }
+
+    /// The §3.1.8 clock-network view: clocks arriving at each node in
+    /// any of `analyses`.
+    pub fn clock_network(analyses: &[&Analysis<'_>]) -> Self {
+        let mut view = Self::empty(analyses);
+        for a in analyses {
+            for node in a.clock_arrivals().reached_nodes() {
+                for arrival in a.clock_arrivals().clocks_at(node) {
+                    view.insert(node, a.clock_key_id(arrival.clock));
+                }
+            }
+        }
+        view
+    }
+
+    /// The §3.2 data-network view: launch clocks *crossing* each node
+    /// (arriving and continuing through at least one active arc) in any
+    /// of `analyses`. The crossing view — not mere presence — is what
+    /// the paper's Constraint Set 5 cut (`-through [rB/Q and1/Z]`)
+    /// compares: a clock may arrive at a pin in some mode yet never pass
+    /// it (a desensitized mux input), and it is the passing that creates
+    /// paths.
+    pub fn data_network(analyses: &[&Analysis<'_>]) -> Self {
+        let mut view = Self::empty(analyses);
+        for a in analyses {
+            let prop = a.propagation();
+            for node in prop.reached_nodes() {
+                if !a.has_active_fanout(node) {
+                    continue;
+                }
+                for &(tid, _) in prop.tags_at(node) {
+                    view.insert(node, a.clock_key_id(prop.tag(tid).launch));
+                }
+            }
+        }
+        view
+    }
 }
 
-fn union_maps(
-    maps: impl Iterator<Item = BTreeMap<PinId, BTreeSet<ClockKey>>>,
-) -> BTreeMap<PinId, BTreeSet<ClockKey>> {
-    let mut out: BTreeMap<PinId, BTreeSet<ClockKey>> = BTreeMap::new();
-    for m in maps {
-        for (pin, keys) in m {
-            out.entry(pin).or_default().extend(keys);
-        }
-    }
-    out
+/// The ids whose bits are set in one node's row, ascending.
+fn ids_in(row: &[u64]) -> impl Iterator<Item = ClockKeyId> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        let mut word = word;
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros();
+                word &= word - 1;
+                ClockKeyId((w * 64) as u32 + bit)
+            })
+        })
+    })
 }
 
 /// Finds, per extra clock, the frontier pins: nodes carrying the clock in
 /// the merged view but in no individual view, whose active fanin does not
 /// already carry the mismatch.
+///
+/// Each extra clock is named by the first merged-mode clock (in mode
+/// order) carrying its key — the clock that set the bit — and the result
+/// is ordered by [`modemerge_sta::keys::ClockKey`], pins ascending.
 fn frontier_mismatches(
     merged: &Analysis<'_>,
-    merged_view: &BTreeMap<PinId, BTreeSet<ClockKey>>,
-    individual_union: &BTreeMap<PinId, BTreeSet<ClockKey>>,
-) -> BTreeMap<ClockKey, BTreeSet<PinId>> {
-    let empty = BTreeSet::new();
-    let is_extra = |pin: PinId, key: &ClockKey| -> bool {
-        merged_view.get(&pin).is_some_and(|k| k.contains(key))
-            && !individual_union.get(&pin).unwrap_or(&empty).contains(key)
-    };
-    let mut out: BTreeMap<ClockKey, BTreeSet<PinId>> = BTreeMap::new();
-    for (&pin, keys) in merged_view {
-        for key in keys {
-            if !is_extra(pin, key) {
-                continue;
-            }
-            let covered_upstream = merged
-                .active_fanin(pin)
-                .into_iter()
-                .any(|p| is_extra(p, key));
-            if !covered_upstream {
-                out.entry(key.clone()).or_default().insert(pin);
+    merged_view: &ClockView,
+    individual_union: &ClockView,
+) -> Vec<(ClockId, Vec<PinId>)> {
+    let extra = |node: PinId, w: usize| merged_view.word(node, w) & !individual_union.word(node, w);
+    let mut frontiers: BTreeMap<ClockKeyId, Vec<PinId>> = BTreeMap::new();
+    let mut row = vec![0u64; merged_view.words];
+    for n in 0..merged.graph().node_count() {
+        let node = PinId::new(n);
+        for (w, slot) in row.iter_mut().enumerate() {
+            *slot = extra(node, w);
+        }
+        if row.iter().all(|&word| word == 0) {
+            continue;
+        }
+        for p in merged.active_fanin(node) {
+            for (w, slot) in row.iter_mut().enumerate() {
+                *slot &= !extra(p, w);
             }
         }
+        for id in ids_in(&row) {
+            frontiers.entry(id).or_default().push(node);
+        }
     }
+    let mode = merged.mode();
+    let mut out: Vec<(ClockId, Vec<PinId>)> = mode
+        .clock_ids()
+        .filter_map(|c| {
+            frontiers
+                .remove(&merged.clock_key_id(c))
+                .map(|pins| (c, pins))
+        })
+        .collect();
+    out.sort_by_cached_key(|&(c, _)| mode.clock_key(c));
     out
 }
 
@@ -170,8 +251,8 @@ pub fn refine(
     prov: &mut ProvenanceStore,
     diags: &mut DiagnosticSink,
 ) -> Result<RefineOutcome, MergeError> {
-    let indiv_clock_union = union_maps(individual_analyses.iter().map(|&a| clock_network_keys(a)));
-    let indiv_data_union = union_maps(individual_analyses.iter().map(|&a| data_network_keys(a)));
+    let indiv_clock_union = ClockView::clock_network(individual_analyses);
+    let indiv_data_union = ClockView::data_network(individual_analyses);
 
     let mut outcome = RefineOutcome {
         sdc: SdcFile::new(),
@@ -188,6 +269,8 @@ pub fn refine(
         propagations: 0,
         propagation_cache_hits: 0,
         memo_evictions: 0,
+        equivalence: None,
+        validate_ns: 0,
     };
     let mut existing: BTreeSet<String> = sdc.commands().iter().map(|c| c.to_text()).collect();
 
@@ -200,15 +283,6 @@ pub fn refine(
             &merged_mode,
             MemoBudget::resolve(options.memo_budget_kb),
         );
-        let clock_name_of = |key: &ClockKey| -> String {
-            merged_mode
-                .clocks
-                .iter()
-                .find(|c| &c.key() == key)
-                .map(|c| c.name.clone())
-                .expect("merged view clock exists in merged mode")
-        };
-
         // The stages are applied strictly in order: a clock-network stop
         // changes capture-clock sets, which changes what the data view and
         // the 3-pass comparison see, so later stages only run once earlier
@@ -240,25 +314,25 @@ pub fn refine(
         // the frontier fixes: every mode whose view lacks the clock at
         // the frontier is a witness; we attribute to the modes that
         // *define* the clock, which is what explain wants to surface).
-        let modes_with_clock = |key: &ClockKey| -> Vec<Contrib> {
+        let modes_with_clock = |clock: ClockId| -> Vec<Contrib> {
+            let key = merged.clock_key_id(clock);
             individual_analyses
                 .iter()
                 .enumerate()
                 .filter_map(|(i, a)| {
                     a.mode()
-                        .clocks
-                        .iter()
-                        .find(|c| &c.key() == key)
-                        .map(|c| (i as u32, c.line))
+                        .clock_ids()
+                        .find(|&c| a.clock_key_id(c) == key)
+                        .map(|c| (i as u32, a.mode().clock(c).line))
                 })
                 .collect()
         };
 
         // §3.1.8 clock refinement.
         let mut fixes: Vec<Derived> = Vec::new();
-        let merged_clock_view = clock_network_keys(&merged);
-        for (key, pins) in frontier_mismatches(&merged, &merged_clock_view, &indiv_clock_union) {
-            let name = clock_name_of(&key);
+        let merged_clock_view = ClockView::clock_network(&[&merged]);
+        for (clock, pins) in frontier_mismatches(&merged, &merged_clock_view, &indiv_clock_union) {
+            let name = merged_mode.clock(clock).name.clone();
             let frontier: Vec<String> = pins.iter().map(|&p| netlist.pin_name(p)).collect();
             fixes.push(Derived {
                 cmd: Command::SetClockSense(SetClockSense {
@@ -269,7 +343,7 @@ pub fn refine(
                     pins: pins_refs(netlist, pins),
                 }),
                 rule: RuleCode::NetStop,
-                contribs: modes_with_clock(&key),
+                contribs: modes_with_clock(clock),
                 detail: format!(
                     "clock '{name}' reaches {} in the merged mode only",
                     frontier.join(" ")
@@ -285,9 +359,9 @@ pub fn refine(
 
         // §3.2 step 1: data-network clock cuts.
         let mut fixes: Vec<Derived> = Vec::new();
-        let merged_data_view = data_network_keys(&merged);
-        for (key, pins) in frontier_mismatches(&merged, &merged_data_view, &indiv_data_union) {
-            let name = clock_name_of(&key);
+        let merged_data_view = ClockView::data_network(&[&merged]);
+        for (clock, pins) in frontier_mismatches(&merged, &merged_data_view, &indiv_data_union) {
+            let name = merged_mode.clock(clock).name.clone();
             let frontier: Vec<String> = pins.iter().map(|&p| netlist.pin_name(p)).collect();
             fixes.push(Derived {
                 cmd: Command::PathException(PathException {
@@ -300,7 +374,7 @@ pub fn refine(
                     },
                 }),
                 rule: RuleCode::NetDisable,
-                contribs: modes_with_clock(&key),
+                contribs: modes_with_clock(clock),
                 detail: format!(
                     "launch clock '{name}' crosses {} in the merged mode only",
                     frontier.join(" ")
@@ -355,12 +429,19 @@ pub fn refine(
             })
             .collect();
         let added = push_new(&mut sdc, &mut existing, prov, diags, derived);
-        outcome.memo_evictions += merged.memo_evictions();
         if added > 0 {
+            outcome.memo_evictions += merged.memo_evictions();
             outcome.comparison_false_paths += added;
             continue;
         }
 
+        // Fixed point: `merged` analyzed exactly the SDC being returned.
+        if options.validate {
+            let t0 = Instant::now();
+            outcome.equivalence = Some(check_equivalence(individual_analyses, &merged));
+            outcome.validate_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        }
+        outcome.memo_evictions += merged.memo_evictions();
         outcome.residual_pessimism = cmp.residual.len();
         outcome.sdc = sdc;
         return Ok(outcome);

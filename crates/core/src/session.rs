@@ -36,7 +36,6 @@
 
 use crate::eco::stage_reuse::{GroupCapture, StageReuse};
 use crate::eco::{EcoEngine, EcoRunReport};
-use crate::equivalence::check_equivalence;
 use crate::error::{MergeConflict, MergeError};
 use crate::json::Json;
 use crate::merge::{MergeAllOutcome, MergeOptions, MergeOutcome, MergeReport, ModeInput};
@@ -73,7 +72,9 @@ pub struct StageTimings {
     pub preliminary_ns: u64,
     /// Refinement fixed point (§3.1.8 + §3.2, includes the 3-pass).
     pub refine_ns: u64,
-    /// Final §2 equivalence validation.
+    /// Final §2 equivalence validation (run inside refinement on the
+    /// fixed point's merged analysis, but charged here, not to
+    /// `refine_ns`).
     pub validate_ns: u64,
     /// 3-pass breakdown: endpoint comparison (pass 1). Part of
     /// `refine_ns`, not additive into [`Self::total_ns`].
@@ -89,7 +90,7 @@ pub struct StageTimings {
     pub propagation_cache_hits: u64,
     /// Bounded-memo evictions across every analysis the session has
     /// touched: the live per-mode caches plus the merged analyses
-    /// created (and dropped) inside refinement and validation. Zero
+    /// created (and dropped) inside refinement. Zero
     /// unless the memo budget is small enough to force recomputation.
     pub memo_evictions: u64,
 }
@@ -155,6 +156,10 @@ impl StageTimings {
     }
 }
 
+fn elapsed_ns(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Thread-safe accumulator behind [`StageTimings`].
 #[derive(Debug, Default)]
 struct StageClock {
@@ -169,15 +174,14 @@ struct StageClock {
     propagations: AtomicU64,
     propagation_cache_hits: AtomicU64,
     /// Evictions harvested from merged analyses that have been dropped
-    /// (refinement iterations and validation); live per-mode analyses
-    /// are read directly at snapshot time.
+    /// (refinement iterations); live per-mode analyses are read
+    /// directly at snapshot time.
     memo_evictions: AtomicU64,
 }
 
 impl StageClock {
     fn charge(counter: &AtomicU64, t0: Instant) {
-        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        counter.fetch_add(ns, Ordering::Relaxed);
+        counter.fetch_add(elapsed_ns(t0), Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> StageTimings {
@@ -451,7 +455,8 @@ impl<'a> MergeSession<'a> {
 
     /// Merges one group of modes, identified by indices into the input
     /// list, through the full §3 pipeline: preliminary merge, refinement
-    /// against the *cached* individual analyses, and §2 validation.
+    /// against the *cached* individual analyses, and §2 validation (on
+    /// the refinement fixed point's own merged analysis).
     ///
     /// # Errors
     ///
@@ -529,10 +534,15 @@ impl<'a> MergeSession<'a> {
             &mut provenance,
             &mut diags,
         );
-        StageClock::charge(&self.clock.refine_ns, t0);
+        // The fixed-point validation runs inside refine; charge it to
+        // its own stage.
+        let validate_ns = refined.as_ref().map_or(0, |r| r.validate_ns);
+        let c = &self.clock;
+        c.refine_ns
+            .fetch_add(elapsed_ns(t0) - validate_ns, Ordering::Relaxed);
+        c.validate_ns.fetch_add(validate_ns, Ordering::Relaxed);
         let refined = refined?;
         // Per-pass breakdown of the 3-pass comparison inside refine.
-        let c = &self.clock;
         c.pass1_ns.fetch_add(refined.pass1_ns, Ordering::Relaxed);
         c.pass2_ns.fetch_add(refined.pass2_ns, Ordering::Relaxed);
         c.pass3_ns.fetch_add(refined.pass3_ns, Ordering::Relaxed);
@@ -548,20 +558,7 @@ impl<'a> MergeSession<'a> {
         // extra relations are fatal only in strict mode (pessimism).
         let mut validated = false;
         let mut extra_relations = 0;
-        if self.options.validate {
-            let t0 = Instant::now();
-            let merged_mode = Mode::bind("merged", self.netlist, &refined.sdc)?;
-            let merged_analysis = Analysis::run_budgeted(
-                self.netlist,
-                self.graph(),
-                &merged_mode,
-                MemoBudget::resolve(self.options.memo_budget_kb),
-            );
-            let report = check_equivalence(&analyses, &merged_analysis);
-            StageClock::charge(&self.clock.validate_ns, t0);
-            self.clock
-                .memo_evictions
-                .fetch_add(merged_analysis.memo_evictions(), Ordering::Relaxed);
+        if let Some(report) = &refined.equivalence {
             if !report.missing_in_merged.is_empty()
                 || (self.options.strict && !report.extra_in_merged.is_empty())
             {

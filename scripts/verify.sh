@@ -23,6 +23,13 @@ echo "==> workspace tests: cargo test --workspace -q"
 # service, eco deltas, ...).
 cargo test --workspace -q
 
+echo "==> benchmark smoke tests: cargo test --release --manifest-path perfbench/Cargo.toml"
+# perfbench is a standalone package (its own [workspace]) with path deps
+# on the crates, so the workspace runs above never build it. Its tests run
+# every workload once on tiny inputs: a core API change that breaks the
+# benchmark build, or its output checks, fails here.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> clippy -D warnings (all touched crates)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -6,11 +6,22 @@
 //! byte for byte, at any thread count. Regenerate deliberately with
 //! `MODEMERGE_UPDATE_FIXTURES=1 cargo test --test merged_golden`.
 
+use modemerge::merge::equivalence::check_equivalence;
 use modemerge::merge::merge::{MergeOptions, ModeInput};
+use modemerge::merge::mergeability::greedy_cliques;
+use modemerge::merge::preliminary::preliminary_merge;
+use modemerge::merge::provenance::DiagnosticSink;
+use modemerge::merge::refine::refine;
 use modemerge::merge::session::{MergeSession, SessionInputs};
 use modemerge::netlist::paper::paper_circuit;
 use modemerge::netlist::Netlist;
+use modemerge::sta::analysis::Analysis;
+use modemerge::sta::memo::MemoBudget;
+use modemerge::sta::mode::Mode;
 use modemerge::workload::{generate_suite, DesignSpec, SuiteSpec};
+
+/// Seed of the 2000-cell / 8-mode scale-grid fixture suite.
+const SCALE_SEED: u64 = 11;
 
 /// The 648-cell / 8-mode stress suite of the `three_pass` bench.
 fn stress_suite() -> (Netlist, Vec<ModeInput>) {
@@ -32,6 +43,21 @@ fn stress_suite() -> (Netlist, Vec<ModeInput>) {
         cross_false_paths: true,
     };
     let s = generate_suite(&spec);
+    let inputs = s
+        .modes
+        .iter()
+        .map(|(n, sdc)| ModeInput::new(n.clone(), sdc.clone()))
+        .collect();
+    (s.netlist, inputs)
+}
+
+/// A 2000-cell / 8-mode point of the scale grid (SoC generator, test
+/// clocks, cross-domain false paths): large enough that every
+/// refinement stage fires across two merged groups.
+/// Its fixture was produced before refinement moved onto interned-clock
+/// bitset views and validated on its fixed point's own analysis.
+fn scale_suite() -> (Netlist, Vec<ModeInput>) {
+    let s = generate_suite(&SuiteSpec::scale(2000, 8, SCALE_SEED));
     let inputs = s
         .modes
         .iter()
@@ -127,4 +153,63 @@ fn paper_example_merged_sdc_matches_pre_refactor_fixture() {
             "/tests/fixtures/paper_merged.sdc"
         ),
     );
+}
+
+#[test]
+fn scale_2000x8_merged_sdc_matches_fixture() {
+    let (netlist, inputs) = scale_suite();
+    check_against_fixture(
+        &netlist,
+        &inputs,
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/scale_2000x8_merged.sdc"
+        ),
+    );
+}
+
+/// Refinement validates on its fixed point's own merged analysis; the
+/// report must equal the one a fresh bind + STA of the refined SDC
+/// gives, for every merged group of the stress suite.
+#[test]
+fn fixed_point_equivalence_matches_a_fresh_analysis_of_the_refined_sdc() {
+    let (netlist, inputs) = stress_suite();
+    let bound = SessionInputs::bind(&netlist, &inputs).expect("inputs bind");
+    let options = MergeOptions::default();
+    let session = MergeSession::new(&netlist, &bound, &options);
+    let groups: Vec<Vec<usize>> = greedy_cliques(&session.mergeability())
+        .into_iter()
+        .filter(|g| g.len() > 1)
+        .collect();
+    assert!(!groups.is_empty(), "the stress suite merges");
+    for group in groups {
+        let modes: Vec<&Mode> = group.iter().map(|&i| session.mode(i)).collect();
+        let analyses: Vec<&Analysis<'_>> = group.iter().map(|&i| session.analysis(i)).collect();
+        let prelim = preliminary_merge(&netlist, &modes, &options);
+        let mut provenance = prelim.provenance;
+        let outcome = refine(
+            &netlist,
+            bound.graph(),
+            &analyses,
+            prelim.sdc,
+            &options,
+            &mut provenance,
+            &mut DiagnosticSink::new(),
+        )
+        .expect("group refines");
+        let merged_mode = Mode::bind("merged", &netlist, &outcome.sdc).expect("refined SDC binds");
+        let fresh = Analysis::run_budgeted(
+            &netlist,
+            bound.graph(),
+            &merged_mode,
+            MemoBudget::resolve(options.memo_budget_kb),
+        );
+        let report = outcome.equivalence.expect("validation is on by default");
+        assert_eq!(
+            report,
+            check_equivalence(&analyses, &fresh),
+            "group {group:?}"
+        );
+        assert!(report.missing_in_merged.is_empty(), "group {group:?}");
+    }
 }

@@ -17,7 +17,7 @@ use modemerge::merge::{MergeOptions, MergeSession, ModeInput, SessionInputs};
 use modemerge::netlist::{paper::paper_circuit, text};
 use modemerge::service::client::Client;
 use modemerge::service::proto::{
-    compute_request, simple_request, tag_request, JobSpec, NetlistFormat,
+    compute_request, simple_request, suite_request, tag_request, JobSpec, NetlistFormat,
 };
 use modemerge::service::server::{Server, ServiceConfig};
 use modemerge::workload::{generate_suite, SuiteSpec};
@@ -349,13 +349,31 @@ fn full_queue_refuses_admission_with_a_structured_overloaded_reply() {
         ..ServiceConfig::default()
     });
 
-    let lines: Vec<String> = (0..4)
-        .map(|i| {
-            let spec = scale_spec(1000, 11, &format!("_{i}"));
-            tag_request(&compute_request("merge", &spec), &Json::count(i))
+    // Every suite is registered up front, so the pipelined lines are
+    // ~100-byte hash references. The first job is a cold 1000-cell
+    // merge; the three behind it are distinct paper-circuit suites.
+    // Parsing three tiny lines is orders of magnitude faster than that
+    // merge, so the worker is still busy when they are admitted.
+    let mut client = Client::connect(addr).expect("connect");
+    let mut specs = vec![scale_spec(1000, 11, "")];
+    for i in 1..4 {
+        let mut spec = paper_spec();
+        for (name, _) in &mut spec.modes {
+            name.push_str(&format!("_{i}"));
+        }
+        specs.push(spec);
+    }
+    let lines: Vec<String> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let reg = client.register(spec).expect("register");
+            assert!(reg.ok, "{:?}", reg.error);
+            let hash = reg.suite().expect("suite hash");
+            let line = suite_request("merge", hash, &MergeOptions::default());
+            tag_request(&line, &Json::count(i))
         })
         .collect();
-    let mut client = Client::connect(addr).expect("connect");
     let replies = client.pipeline(&lines).expect("pipeline");
     assert_eq!(replies.len(), 4, "every request gets exactly one reply");
 
