@@ -30,9 +30,12 @@
 //! assert_eq!(session.analyses_run(), 2, "one analysis per mode, ever");
 //! ```
 //!
-//! When `options.threads > 1` the warm-up and the pair mock merges run
-//! on the scoped-thread pool ([`crate::pool`]); results are assembled in
-//! index order, so output is bit-identical for any thread count.
+//! When `options.threads > 1` the warm-up, the pair mock merges and
+//! `merge_all`'s cliques run on the scoped-thread pool ([`crate::pool`]);
+//! results are assembled in index order, so output is bit-identical for
+//! any thread count. Cliques share no modes, so they merge concurrently;
+//! pools nested inside a clique run inline, and each clique frees its
+//! modes' derived-table memos ([`Analysis::release_memos`]) when done.
 
 use crate::eco::stage_reuse::{GroupCapture, StageReuse};
 use crate::eco::{EcoEngine, EcoRunReport};
@@ -59,9 +62,11 @@ use std::time::Instant;
 /// [`MergeSession::stage_timings`]; the service aggregates these across
 /// requests for its `stats` reply.
 ///
-/// `analysis_ns` sums the time spent *inside* [`Analysis::run`] across
-/// all worker threads (CPU-parallel work counts once per thread), while
-/// the other stages are timed on the calling thread.
+/// `analysis_ns`, `preliminary_ns`, `refine_ns` and `validate_ns` are
+/// summed across worker threads (the per-mode analyses and
+/// `merge_all`'s concurrent cliques): CPU-parallel work counts once per
+/// thread, so these can exceed wall time. `mergeability_ns` is timed on
+/// the calling thread.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StageTimings {
     /// Per-mode STA analyses ([`Analysis::run`], cache misses only).
@@ -602,7 +607,8 @@ impl<'a> MergeSession<'a> {
 
     /// The full plan-and-merge flow over the session's modes: build the
     /// mergeability graph, cover it with greedy cliques and merge every
-    /// clique — all against the shared analysis cache.
+    /// clique — all against the shared analysis cache, the cliques
+    /// concurrently when `options.threads > 1`.
     ///
     /// Cliques that unexpectedly fail deep refinement (the mock merge
     /// only checks preliminary-level conflicts) fall back to keeping
@@ -614,13 +620,47 @@ impl<'a> MergeSession<'a> {
     /// Infallible per group (failures fall back), but kept fallible for
     /// forward compatibility with strict planning policies.
     pub fn merge_all(&self) -> Result<MergeAllOutcome, MergeError> {
+        self.merge_all_on(pool::workers(self.options.threads))
+    }
+
+    /// [`Self::merge_all`] with its cliques merged on `workers` pool
+    /// workers — the seam that lets tests force concurrent cliques on
+    /// any host.
+    ///
+    /// Cliques share no modes, so each runs independently and the
+    /// results are stitched in group order. Only cliques of two or more
+    /// modes are pool jobs (a singleton is passed through as is), so a
+    /// lone clique runs at top level and its own pools get every worker.
+    pub(crate) fn merge_all_on(&self, workers: usize) -> Result<MergeAllOutcome, MergeError> {
         let mgraph = self.mergeability();
         let groups = greedy_cliques(&mgraph);
+        let cliques: Vec<&[usize]> = groups
+            .iter()
+            .map(Vec::as_slice)
+            .filter(|g| g.len() > 1)
+            .collect();
+        let mut clique_outcomes = pool::run_with_workers(workers, cliques.len(), |k| {
+            let outcome = self.merge_indices(cliques[k]);
+            // Every mode belongs to exactly one clique: nothing reads
+            // these memos again in this flow.
+            for slot in cliques[k].iter().filter_map(|&i| self.slots[i].get()) {
+                slot.release_memos();
+            }
+            outcome
+        })
+        .into_iter();
 
         let mut merged = Vec::new();
         let mut reports = Vec::new();
         for group in &groups {
-            match self.merge_indices(group) {
+            // A singleton's merge is a pass-through.
+            let outcome = if group.len() > 1 {
+                clique_outcomes.next()
+            } else {
+                None
+            }
+            .unwrap_or_else(|| self.merge_indices(group));
+            match outcome {
                 Ok(outcome) => {
                     merged.push(outcome.merged);
                     reports.push(outcome.report);
@@ -863,6 +903,120 @@ mod tests {
                 .collect()
         };
         assert_eq!(texts(&serial), texts(&parallel));
+    }
+
+    /// Everything `merge_all` hands back, as comparable text: group
+    /// cover, merged SDC per mode and the JSON report.
+    fn outcome_bytes(o: &MergeAllOutcome, inputs: usize) -> (Vec<Vec<usize>>, String, String) {
+        let sdc = o
+            .merged
+            .iter()
+            .map(|m| format!("=== {} ===\n{}", m.name, m.sdc.to_text()))
+            .collect();
+        let json = crate::report::outcome_to_json(o, inputs).to_string();
+        (o.groups.clone(), sdc, json)
+    }
+
+    /// Modes on the paper circuit whose clock latency (a multiple of 9)
+    /// conflicts with every other latency, so each latency is its own
+    /// clique.
+    fn latency_mode(name: &str, latency: u32, extra: &str) -> ModeInput {
+        let text = format!(
+            "create_clock -name c -period 10 [get_ports clk1]\n\
+             set_clock_latency {latency} [get_clocks c]\n\
+             set_input_delay 1 -clock c [get_ports in1]\n\
+             set_output_delay 1 -clock c [get_ports out1]\n{extra}"
+        );
+        ModeInput::parse(name, &text).unwrap()
+    }
+
+    #[test]
+    fn forced_concurrent_cliques_come_back_in_group_order() {
+        let netlist = paper_circuit();
+        // Clique 0 is the largest and does the most refinement, so the
+        // singletons and the pair behind it finish first.
+        let inputs = vec![
+            latency_mode("A0", 0, "set_false_path -to rX/D\n"),
+            latency_mode("A1", 0, "set_false_path -from rA/CP\n"),
+            latency_mode("A2", 0, "set_false_path -through inv3/Z\n"),
+            latency_mode("B0", 9, ""),
+            latency_mode("C0", 18, "set_false_path -to rZ/D\n"),
+            latency_mode("C1", 18, "set_false_path -to rY/D\n"),
+            latency_mode("D0", 27, ""),
+        ];
+        let run = |workers: usize| {
+            let bound = SessionInputs::bind(&netlist, &inputs).unwrap();
+            let session = MergeSession::new(&netlist, &bound, &MergeOptions::default());
+            outcome_bytes(&session.merge_all_on(workers).unwrap(), inputs.len())
+        };
+        let serial = run(1);
+        assert_eq!(
+            serial.0,
+            vec![vec![0, 1, 2], vec![3], vec![4, 5], vec![6]],
+            "four cliques, the largest first"
+        );
+        assert!(serial.1.contains("=== A0+A1+A2 ==="), "{}", serial.1);
+        for _ in 0..5 {
+            assert_eq!(run(4), serial);
+        }
+    }
+
+    #[test]
+    fn renamed_virtual_clocks_merge_identically_at_any_thread_count() {
+        // Every clique merges a period-10 virtual clock `v` with a
+        // period-20 one and renames the latter `v_1`, a key no input
+        // mode has, so it is interned during the clique's merge, in
+        // whatever order the cliques get there. The second clique also
+        // renames `u` to `u_1`. In the third, `v` carries an input
+        // delay, so the clique falls back to its individual modes.
+        let netlist = paper_circuit();
+        let virt = |u: u32, v: u32| {
+            format!("create_clock -name u -period {u}\ncreate_clock -name v -period {v}\n")
+        };
+        let delayed = |v: u32| {
+            format!(
+                "{}set_input_delay 1 -clock v -add_delay [get_ports in1]\n",
+                virt(5, v)
+            )
+        };
+        let inputs = vec![
+            latency_mode("P1", 0, &virt(5, 10)),
+            latency_mode("P2", 0, &virt(5, 20)),
+            latency_mode("Q1", 9, &virt(5, 10)),
+            latency_mode("Q2", 9, &virt(7, 20)),
+            latency_mode("R1", 18, &delayed(10)),
+            latency_mode("R2", 18, &delayed(20)),
+        ];
+        // `workers: None` is the public entry point at `threads`.
+        let run = |threads: usize, workers: Option<usize>| {
+            let bound = SessionInputs::bind(&netlist, &inputs).unwrap();
+            let options = MergeOptions {
+                threads,
+                ..Default::default()
+            };
+            let session = MergeSession::new(&netlist, &bound, &options);
+            let outcome = match workers {
+                Some(w) => session.merge_all_on(w),
+                None => session.merge_all(),
+            };
+            outcome_bytes(&outcome.unwrap(), inputs.len())
+        };
+        let serial = run(1, None);
+        assert_eq!(serial.0, vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
+        assert!(serial.1.contains("-name v_1 -period 20"), "{}", serial.1);
+        assert!(serial.1.contains("-name u_1 -period 7"), "{}", serial.1);
+        assert!(
+            serial.1.contains("=== R1 ==="),
+            "R falls back: {}",
+            serial.1
+        );
+        // Scheduling-dependent when broken, so repeat.
+        for _ in 0..20 {
+            for threads in [1, 2, 8] {
+                assert_eq!(run(threads, None), serial, "threads={threads}");
+            }
+            assert_eq!(run(1, Some(4)), serial);
+        }
     }
 
     #[test]

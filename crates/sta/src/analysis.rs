@@ -529,6 +529,18 @@ impl<'a> Analysis<'a> {
             + self.cone_memo.evictions()
     }
 
+    /// Drops the derived-table memos (propagations, pass-2 and pass-3
+    /// rows, fanin cones) once no further query is expected — a merge
+    /// session calls this when the one clique using the mode is done.
+    /// Not counted as evictions; a later query just recomputes the same
+    /// value. The endpoint table and relation set stay.
+    pub fn release_memos(&self) {
+        self.prop_memo.clear();
+        self.through_memo.clear();
+        self.pair_memo.clear();
+        self.cone_memo.clear();
+    }
+
     /// Pass-2 relationships for one endpoint: per-startpoint rows,
     /// sorted, memoized per endpoint behind an `Arc` — repeated queries
     /// (the refinement loop, every pass-3 pair) cost a map probe, not a

@@ -282,6 +282,19 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedMemo<K, V> {
     pub fn cost_bytes(&self) -> usize {
         self.read().cost
     }
+
+    /// Drops every entry, for a caller that knows no later query will
+    /// want them. Not an eviction: the counters are left as they are.
+    ///
+    /// Safe against fills in flight: their slots leave the map here, so
+    /// [`Self::fill`]'s residency check skips the charge, and the value
+    /// still reaches the callers racing on that slot.
+    pub fn clear(&self) {
+        let mut st = self.write();
+        st.map.clear();
+        st.queue.clear();
+        st.cost = 0;
+    }
 }
 
 #[cfg(test)]
@@ -367,6 +380,44 @@ mod tests {
         assert!(m.cost_bytes() <= 250);
         m.get_or_compute(2, || panic!("resident"), |v| v.len());
         m.get_or_compute(3, || panic!("resident"), |v| v.len());
+    }
+
+    #[test]
+    fn clear_drops_entries_and_never_charges_a_fill_in_flight() {
+        use std::sync::mpsc;
+        let m = memo(1 << 20);
+        m.get_or_compute(1, || Arc::new(vec![0; 100]), |v| v.len());
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let shared = &m;
+        std::thread::scope(|s| {
+            let filler = s.spawn(move || {
+                shared.get_or_compute(
+                    2,
+                    || {
+                        started_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        Arc::new(vec![0; 50])
+                    },
+                    |v| v.len(),
+                )
+            });
+            // Key 2's slot is in the map, its compute is running.
+            started_rx.recv().unwrap();
+            m.clear();
+            assert_eq!((m.len(), m.cost_bytes()), (0, 0));
+            release_tx.send(()).unwrap();
+            // The racing caller still gets its value …
+            assert_eq!(filler.join().unwrap().len(), 50);
+        });
+        // … but the detached slot was never charged or re-inserted.
+        assert_eq!((m.len(), m.cost_bytes()), (0, 0));
+        // Clearing is not an eviction, and the next query recomputes.
+        assert_eq!(m.evictions(), 0);
+        let before = m.misses();
+        m.get_or_compute(1, || Arc::new(vec![0; 100]), |v| v.len());
+        assert_eq!(m.misses(), before + 1);
+        assert_eq!(m.cost_bytes(), 100);
     }
 
     #[test]

@@ -160,6 +160,45 @@ grep -q "drained and stopped" "$SERVE_LOG" \
 SERVE_PID=""
 echo "    serve/submit/cache-hit/eco-warm/shutdown round trip OK"
 
+echo "==> smoke: multi-clique merge at 1, 2 and 8 threads must be byte-identical"
+# merge_all merges its cliques concurrently. This 2000-cell / 8-mode
+# suite covers two 4-mode cliques, and its first five modes one clique
+# plus a singleton; for both, the merged SDC files and the --json
+# summary (minus its wall-clock `timings`, the last key) must not depend
+# on --threads.
+"$MM" workload --cells 2000 --modes 8 --seed 11 --out "$SMOKE_DIR/cliques" >/dev/null
+clique_args=()
+while read -r word name file; do
+    [ "$word" = mode ] && clique_args+=(--mode "$name=$SMOKE_DIR/cliques/$file")
+done <"$SMOKE_DIR/cliques/MANIFEST"
+for cover in two_cliques clique_singleton; do
+    if [ "$cover" = two_cliques ]; then
+        args=("${clique_args[@]}")
+        shape='"groups":\[\[[0-9,]*\],\[[0-9,]*,[0-9,]*\]\]'
+    else
+        args=("${clique_args[@]:0:10}")
+        shape='"groups":\[\[[0-9,]*\],\[[0-9]\]\]'
+    fi
+    for t in 1 2 8; do
+        "$MM" merge --netlist "$SMOKE_DIR/cliques/design.nl" "${args[@]}" --json --lint off \
+            --threads "$t" --out "$SMOKE_DIR/${cover}_t$t" \
+            | sed -E 's/,"timings":\{.*\}\}$/}/' >"$SMOKE_DIR/${cover}_t$t.json"
+        if grep -q '"timings"' "$SMOKE_DIR/${cover}_t$t.json"; then
+            echo "FAIL: could not strip timings from the $cover --threads $t JSON" >&2
+            exit 1
+        fi
+    done
+    grep -q "$shape" "$SMOKE_DIR/${cover}_t1.json" \
+        || { echo "FAIL: the $cover smoke suite merged into another cover" >&2; exit 1; }
+    for t in 2 8; do
+        diff -r "$SMOKE_DIR/${cover}_t1" "$SMOKE_DIR/${cover}_t$t" >&2 \
+            || { echo "FAIL: $cover merged SDC differs between 1 and $t threads" >&2; exit 1; }
+        cmp "$SMOKE_DIR/${cover}_t1.json" "$SMOKE_DIR/${cover}_t$t.json" >&2 \
+            || { echo "FAIL: $cover merge --json differs between 1 and $t threads" >&2; exit 1; }
+    done
+done
+echo "    merged SDC and JSON identical at 1, 2 and 8 threads (two cliques; clique + singleton)"
+
 echo "==> smoke: suite registration + pipelined saturation (2 suites, 16 mixed jobs)"
 # Fleet path end to end: register two suites once, pipeline 16 mixed
 # merge/lint jobs referencing them by content hash over ONE connection,

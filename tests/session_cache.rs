@@ -10,6 +10,7 @@ use modemerge::merge::session::{MergeSession, SessionInputs};
 use modemerge::netlist::Netlist;
 use modemerge::sta::analysis::Analysis;
 use modemerge::workload::{generate_suite, DesignSpec, SuiteSpec};
+use std::collections::BTreeSet;
 
 /// A small multi-domain design with a family-structured mode suite.
 fn suite() -> (Netlist, Vec<ModeInput>) {
@@ -102,6 +103,56 @@ fn merge_output_is_identical_across_thread_counts() {
     let serial = run(1);
     assert_eq!(serial, run(4), "1 vs 4 threads");
     assert_eq!(serial, run(8), "1 vs 8 threads");
+}
+
+/// `merge_all` releases each clique's derived-table memos once the
+/// clique is merged. That must be invisible: a released per-mode
+/// analysis answers pass-2 and pass-3 queries exactly like a fresh one.
+#[test]
+fn released_memos_answer_like_a_fresh_analysis() {
+    let (netlist, inputs) = suite();
+    let bound = SessionInputs::bind(&netlist, &inputs).unwrap();
+    let options = MergeOptions {
+        threads: 2,
+        ..Default::default()
+    };
+    let session = MergeSession::new(&netlist, &bound, &options);
+    let outcome = session.merge_all().unwrap();
+    assert!(
+        outcome.groups.iter().any(|g| g.len() > 1),
+        "the suite merges"
+    );
+    assert!(
+        session.stage_timings().propagations > 0,
+        "the 3-pass filled the memos"
+    );
+    for i in 0..session.mode_count() {
+        let released = session.analysis(i);
+        let fresh = Analysis::run(&netlist, bound.graph(), &bound.modes()[i]);
+        let before = released.propagations_run();
+        let mut starts = BTreeSet::new();
+        for endpoint in fresh.endpoints() {
+            assert_eq!(
+                released.pair_relations(endpoint),
+                fresh.pair_relations(endpoint),
+                "mode {i}, endpoint {endpoint:?}"
+            );
+            for start in fresh.startpoints_of(endpoint) {
+                starts.insert(start.pin());
+                assert_eq!(
+                    released.through_relations(start, endpoint),
+                    fresh.through_relations(start, endpoint),
+                    "mode {i}, {start:?} -> {endpoint:?}"
+                );
+            }
+        }
+        // Every startpoint was propagated again: no entry survived.
+        assert_eq!(
+            released.propagations_run() - before,
+            starts.len() as u64,
+            "mode {i}"
+        );
+    }
 }
 
 #[test]
